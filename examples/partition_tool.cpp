@@ -28,11 +28,10 @@
 // Execution-shape flags (shared by partition/adapt/rescale/serve; none of
 // them changes results): --shards, --threads, --transport=
 // inprocess|multiprocess|tcp, --workers (worker processes for the
-// off-thread transports), --processes (legacy spelling of
-// "--transport=multiprocess --workers=N"), --listen (tcp coordinator
-// bind address), --store-dir (forked workers' persistent shard store),
-// --wire-max-payload (frame payload ceiling in bytes; larger messages
-// stream across chunk frames).
+// off-thread transports), --listen (tcp coordinator bind address),
+// --store-dir (forked workers' persistent shard store), --wire-max-payload
+// (frame payload ceiling in bytes; larger messages stream across chunk
+// frames).
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -86,7 +85,6 @@ constexpr const char* kCommonFlags =
     "                       where the shard workers run (default "
     "inprocess)\n"
     "  --workers=N          worker processes (required for tcp)\n"
-    "  --processes=N        legacy: --transport=multiprocess --workers=N\n"
     "  --listen=HOST:PORT   tcp: coordinator bind address (default "
     "127.0.0.1:0)\n"
     "  --store-dir=DIR      forked workers: persistent shard store root\n"
@@ -216,7 +214,6 @@ PartitionerOptions OptionsFrom(const CommandLine& cli) {
       static_cast<int>(cli.GetInt("shards", 0));
   options.execution.num_threads =
       static_cast<int>(cli.GetInt("threads", 0));
-  options.num_processes = static_cast<int>(cli.GetInt("processes", 0));
   const std::string transport = cli.GetString("transport", "inprocess");
   if (transport == "multiprocess") {
     options.execution.mode = ExecutionMode::kMultiProcess;

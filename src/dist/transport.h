@@ -132,7 +132,7 @@ struct TransportOptions {
   static TransportOptions FromEnv();
 
   /// FromEnv(), with `max_frame_payload_override` (when non-zero, e.g.
-  /// SpinnerConfig::wire_max_payload) winning over the environment.
+  /// ExecutionOptions::wire_max_payload) winning over the environment.
   static TransportOptions Resolve(uint64_t max_frame_payload_override);
 };
 

@@ -303,10 +303,10 @@ struct InitRequest {
   /// worker only the slice covering its owned range (base = first owned
   /// vertex), so Init traffic and worker memory are O(owned), not O(V).
   VertexId base = 0;
-  /// SpinnerProgram initial-label contract: entries whose *global* id
-  /// (base + index) falls below the caller's initial-label count and that
-  /// are not kNoPartition are fixed restart labels; everything else
-  /// hash-draws.
+  /// The driver's initial-label contract (DriveSpinnerSupersteps): entries
+  /// whose *global* id (base + index) falls below the caller's
+  /// initial-label count and that are not kNoPartition are fixed restart
+  /// labels; everything else hash-draws.
   std::vector<PartitionId> initial_labels;
 
   std::vector<uint8_t> Encode() const;

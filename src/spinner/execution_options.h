@@ -1,13 +1,10 @@
 // ExecutionOptions: the one place execution shape is configured.
 //
-// Before this header existed, the parallelism and wire knobs
-// (num_shards / num_threads / num_processes / wire_max_payload) were
-// triplicated across SpinnerConfig, SessionOptions and PartitionerOptions,
-// each copy resolved ad hoc at a different layer. All three structs now
-// nest one ExecutionOptions (their legacy flat fields remain as deprecated
-// shims for one release) and every layer resolves through the same merge
-// rule: an explicitly-set nested field wins over a legacy flat field, and
-// outer layers (SessionOptions) win over inner ones (SpinnerConfig).
+// SpinnerConfig, SessionOptions and PartitionerOptions each nest one
+// ExecutionOptions and carry no other execution-shape field. Where two
+// layers meet, one merge rule applies field-wise (MergedExecution): the
+// session's options win over its config's, and the registry's
+// PartitionerOptions::execution wins over its `spinner` config's.
 //
 // Execution shape never changes results: partitioning assignments and the
 // float φ/ρ/score histories are bit-identical for every mode / shard /
@@ -103,8 +100,8 @@ struct ExecutionOptions {
 
 /// Field-wise merge: every `primary` field that differs from its default
 /// wins; unset fields fall back to `fallback`. This is the one precedence
-/// rule all option layers use (session options over config, nested struct
-/// over deprecated flat fields).
+/// rule of the option layers (session options over config, registry
+/// options over the spinner config).
 ExecutionOptions MergedExecution(const ExecutionOptions& primary,
                                  const ExecutionOptions& fallback);
 

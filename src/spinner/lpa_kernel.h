@@ -1,14 +1,13 @@
 // The per-vertex decision kernel of Spinner's label propagation, shared by
-// the two execution substrates:
-//  * the Pregel BSP engine (spinner/program.cc), faithful to the paper's
-//    Giraph deployment;
-//  * the shard-parallel superstep loop (spinner/sharded_program.cc) that
-//    runs directly over a ShardedGraphStore.
+// every execution substrate through the shard phase bodies
+// (spinner/shard_superstep.h): the in-process stealing scheduler
+// (spinner/sharded_program.cc) and the cross-process ShardWorkers
+// (dist/worker.cc).
 //
-// Both paths must take bit-identical decisions for the same inputs — label
-// choice (Eq. 8 + deterministic tie break), migration probability (Eq. 14)
-// and the hash-derived random streams — so the kernel lives here exactly
-// once. All randomness is stateless: hash (seed, domain, superstep, vertex)
+// Every substrate must take bit-identical decisions for the same inputs —
+// label choice (Eq. 8 + deterministic tie break), migration probability
+// (Eq. 14) and the hash-derived random streams — so the kernel lives here
+// exactly once. All randomness is stateless: hash (seed, domain, superstep, vertex)
 // to get an independent stream per decision point, making every run
 // reproducible for a given seed regardless of shard/worker/thread counts.
 //

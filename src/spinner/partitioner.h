@@ -9,21 +9,23 @@
 //   auto result = partitioner.Partition(converted_graph);
 //   if (result.ok()) use(result->assignment);
 //
-// DEPRECATION NOTE: new code should prefer the maintained-lifecycle API —
-// PartitioningSession (spinner/session.h) owns the graph + assignment and
-// composes delta application, conversion and adaptation; the
-// PartitionerRegistry (baselines/partitioner_registry.h) constructs any
-// partitioner, Spinner included, behind the uniform GraphPartitioner
-// interface. These free-standing entry points remain as thin shims for
-// callers that manage graph state themselves.
+// Callers that keep a graph and its partitioning alive across changes
+// should use PartitioningSession (spinner/session.h), which owns the graph,
+// its sharded store and the assignment; the PartitionerRegistry
+// (baselines/partitioner_registry.h) constructs any partitioner, Spinner
+// included, behind the uniform GraphPartitioner interface. Both this
+// facade and the session run label propagation through RunOnBackend below.
 #ifndef SPINNER_SPINNER_PARTITIONER_H_
 #define SPINNER_SPINNER_PARTITIONER_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/result.h"
+#include "common/threadpool.h"
 #include "graph/csr_graph.h"
+#include "graph/sharded_store.h"
 #include "graph/types.h"
 #include "pregel/stats.h"
 #include "spinner/config.h"
@@ -33,6 +35,10 @@
 #include "spinner/types.h"
 
 namespace spinner {
+
+namespace dist {
+class WorkerRegistry;
+}  // namespace dist
 
 /// Everything a run produces: the assignment plus quality metrics,
 /// convergence curves and engine statistics (used by the adaptation
@@ -58,10 +64,37 @@ struct PartitionResult {
   /// Wire traffic of the cross-process execution mode (zeros when the run
   /// stayed in-process).
   WireTraffic wire;
-  /// Work-stealing claim counters of the in-process sharded substrate
-  /// (zeros for the Pregel engine and cross-process modes).
+  /// Work-stealing claim counters of the in-process backend (zeros for
+  /// the cross-process modes).
   ScheduleStats schedule;
 };
+
+/// The one run path behind SpinnerPartitioner and PartitioningSession:
+/// runs label propagation over `store` from `initial_labels` (the
+/// DriveSpinnerSupersteps contract) with config.num_partitions partitions
+/// on the backend config.execution.mode selects, and fills every
+/// PartitionResult field. Metrics are computed against `metrics_graph`,
+/// the converted graph `store` was sliced from.
+///  * kInProcess: shard-parallel on `pool` (RunShardedSpinner); a null
+///    pool means a throwaway one of ResolveNumThreads threads.
+///  * kMultiProcess / kTcp: worker processes driven by
+///    dist::RunMultiProcessSpinner; kTcp workers dial in to `registry`,
+///    and a null registry binds a throwaway one (ListenForWorkers).
+/// On success store->labels() equals the result's assignment. `observer`
+/// is used when active.
+Result<PartitionResult> RunOnBackend(const SpinnerConfig& config,
+                                     ShardedGraphStore* store,
+                                     const CsrGraph& metrics_graph,
+                                     std::vector<PartitionId> initial_labels,
+                                     ThreadPool* pool,
+                                     dist::WorkerRegistry* registry,
+                                     const ProgressObserver& observer);
+
+/// Binds the kTcp listener dial-in workers connect to, at
+/// execution.listen_address (default 127.0.0.1:0) with
+/// execution.handshake_timeout_ms.
+Result<std::unique_ptr<dist::WorkerRegistry>> ListenForWorkers(
+    const ExecutionOptions& execution);
 
 /// Stateless facade; safe to reuse and — observer mutation aside — to
 /// share across threads.
@@ -74,8 +107,10 @@ class SpinnerPartitioner {
 
   /// Partitions a raw directed edge list from scratch: deduplicates edges,
   /// then either converts offline or — when config.in_engine_conversion is
-  /// set — runs the NeighborPropagation/NeighborDiscovery supersteps
-  /// in-engine exactly like the Giraph implementation.
+  /// set — runs the NeighborPropagation/NeighborDiscovery supersteps on
+  /// the Pregel engine exactly like the Giraph implementation
+  /// (spinner/conversion_program.h). Both conversions give the same graph,
+  /// so the result is the same either way.
   Result<PartitionResult> PartitionDirected(int64_t num_vertices,
                                             const EdgeList& directed) const;
 
@@ -106,18 +141,11 @@ class SpinnerPartitioner {
   }
 
  private:
-  /// Dispatches to the right substrate: pre-converted graphs run
-  /// shard-parallel over a ShardedGraphStore (spinner/sharded_program.h);
-  /// in-engine conversion runs on the Pregel engine via RunOnEngine.
-  Result<PartitionResult> RunOnGraph(const CsrGraph& engine_graph,
-                                     const CsrGraph& converted,
+  /// Slices `converted` into a throwaway store and runs k-way label
+  /// propagation over it through RunOnBackend.
+  Result<PartitionResult> RunOnGraph(const CsrGraph& converted,
                                      std::vector<PartitionId> initial_labels,
-                                     int k, bool with_conversion) const;
-
-  /// The Pregel-engine substrate (conversion supersteps included).
-  Result<PartitionResult> RunOnEngine(
-      const CsrGraph& engine_graph, std::vector<PartitionId> initial_labels,
-      const SpinnerConfig& run_config) const;
+                                     int k) const;
 
   SpinnerConfig config_;
   ProgressObserver observer_;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "dist/coordinator.h"
 #include "dist/registry.h"
 #include "graph/binary_io.h"
 #include "graph/conversion.h"
@@ -14,40 +13,10 @@ namespace spinner {
 
 PartitioningSession::PartitioningSession(const SpinnerConfig& config,
                                          SessionOptions options)
-    : config_(config),
-      options_(options),
-      init_status_(config.Validate()),
-      current_k_(config.num_partitions) {
-  // Fold the four configuration layers into one ExecutionOptions, outer
-  // layers winning field-wise: session.execution > session flat shims >
-  // config.execution > config flat shims.
-  ExecutionOptions session_legacy;
-  session_legacy.num_shards = options_.num_shards;
-  session_legacy.num_threads = options_.num_threads;
-  session_legacy.num_workers = options_.num_workers;
-  session_legacy.wire_max_payload = options_.wire_max_payload;
-  session_legacy.mode = options_.execution_mode;
-  execution_ = MergedExecution(
-      options_.execution,
-      MergedExecution(session_legacy, config_.ResolvedExecution()));
-  // Write the merged result back through the deprecated config fields so
-  // downstream resolvers (ResolveNumShards/Threads/Workers) and
-  // config().Validate() all see one consistent execution shape. In
-  // kMultiProcess mode num_workers=0 means "auto" (ResolveNumWorkers),
-  // not "in-process".
-  config_.execution = execution_;
-  if (execution_.num_shards > 0) config_.num_shards = execution_.num_shards;
-  if (execution_.num_threads > 0) {
-    config_.num_threads = execution_.num_threads;
-  }
-  if (execution_.wire_max_payload != 0) {
-    config_.wire_max_payload = execution_.wire_max_payload;
-  }
-  if (execution_.mode != ExecutionMode::kInProcess &&
-      execution_.num_workers > 0) {
-    config_.num_processes = execution_.num_workers;
-  }
-  if (init_status_.ok()) init_status_ = config_.Validate();
+    : config_(config), options_(options), current_k_(config.num_partitions) {
+  // The session's execution options win field-wise over the config's.
+  config_.execution = MergedExecution(options_.execution, config.execution);
+  init_status_ = config_.Validate();
 }
 
 PartitioningSession::~PartitioningSession() = default;
@@ -82,18 +51,12 @@ void PartitioningSession::EnsurePool() {
 
 Status PartitioningSession::EnsureRegistry() {
   if (registry_ != nullptr) return Status::OK();
-  dist::RegistryOptions options;
-  if (!execution_.listen_address.empty()) {
-    options.listen_address = execution_.listen_address;
-  }
-  options.handshake_timeout_ms = execution_.handshake_timeout_ms;
-  SPINNER_ASSIGN_OR_RETURN(registry_,
-                           dist::WorkerRegistry::Listen(options));
+  SPINNER_ASSIGN_OR_RETURN(registry_, ListenForWorkers(config_.execution));
   return Status::OK();
 }
 
 Result<std::string> PartitioningSession::TcpAddress() {
-  if (execution_.mode != ExecutionMode::kTcp) {
+  if (config_.execution.mode != ExecutionMode::kTcp) {
     return Status::FailedPrecondition(
         "TcpAddress() is only meaningful in ExecutionMode::kTcp");
   }
@@ -101,58 +64,18 @@ Result<std::string> PartitioningSession::TcpAddress() {
   return registry_->address();
 }
 
-Status PartitioningSession::RunLpa(const CsrGraph& metrics_graph,
-                                   std::vector<PartitionId> initial_labels,
-                                   int k, PartitionResult* out) {
+Result<PartitionResult> PartitioningSession::RunLpa(
+    const CsrGraph& metrics_graph, std::vector<PartitionId> initial_labels,
+    int k) {
   SpinnerConfig run_config = config_;
   run_config.num_partitions = k;
-  ShardedRunResult run;
-  if (execution_.mode != ExecutionMode::kInProcess) {
-    // Cross-process execution: the coordinator drives the identical
-    // superstep schedule over forked (kMultiProcess) or dial-in TCP
-    // (kTcp) workers, so the session-visible outcome is bit-identical to
-    // the in-process path.
-    dist::MultiProcessOptions mp;
-    mp.num_workers = run_config.num_processes;
-    mp.transport =
-        dist::TransportOptions::Resolve(run_config.wire_max_payload);
-    mp.worker_store_dir = execution_.worker_store_dir;
-    mp.rpc_timeout_ms = execution_.rpc_timeout_ms;
-    mp.heartbeat_period_ms = execution_.heartbeat_period_ms;
-    mp.max_recovery_attempts = execution_.max_recovery_attempts;
-    if (execution_.mode == ExecutionMode::kTcp) {
-      SPINNER_RETURN_IF_ERROR(EnsureRegistry());
-      mp.worker_transport = registry_.get();
-    }
-    SPINNER_ASSIGN_OR_RETURN(
-        run, dist::RunMultiProcessSpinner(
-                 run_config, &store_, std::move(initial_labels), mp,
-                 observer_.active() ? &observer_ : nullptr));
-  } else {
-    EnsurePool();
-    SPINNER_ASSIGN_OR_RETURN(
-        run,
-        RunShardedSpinner(run_config, &store_, std::move(initial_labels),
-                          pool_.get(),
-                          observer_.active() ? &observer_ : nullptr));
+  if (config_.execution.mode == ExecutionMode::kInProcess) EnsurePool();
+  if (config_.execution.mode == ExecutionMode::kTcp) {
+    SPINNER_RETURN_IF_ERROR(EnsureRegistry());
   }
-  out->num_partitions = k;
-  out->iterations = run.iterations;
-  out->converged = run.converged;
-  out->cancelled = run.cancelled;
-  out->history = std::move(run.history);
-  out->run_stats = std::move(run.run_stats);
-  out->wire = std::move(run.wire);
-  out->assignment = store_.labels();
-
-  BalanceSpec spec;
-  spec.mode = run_config.balance_mode;
-  spec.partition_weights = run_config.partition_weights;
-  SPINNER_ASSIGN_OR_RETURN(
-      out->metrics,
-      ComputeMetricsEx(metrics_graph, out->assignment, k,
-                       run_config.additional_capacity, spec));
-  return Status::OK();
+  return RunOnBackend(run_config, &store_, metrics_graph,
+                      std::move(initial_labels), pool_.get(),
+                      registry_.get(), observer_);
 }
 
 Status PartitioningSession::Open(int64_t num_vertices, EdgeList edges,
@@ -167,9 +90,9 @@ Status PartitioningSession::Open(int64_t num_vertices, EdgeList edges,
                            Convert(num_vertices, edges));
   SPINNER_ASSIGN_OR_RETURN(store_, BuildStore(converted));
   std::vector<PartitionId> no_labels(num_vertices, kNoPartition);
-  PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted, std::move(no_labels), current_k_, &result));
+  SPINNER_ASSIGN_OR_RETURN(
+      PartitionResult result,
+      RunLpa(converted, std::move(no_labels), current_k_));
 
   num_vertices_ = num_vertices;
   edges_ = std::move(edges);
@@ -213,16 +136,16 @@ Status PartitioningSession::ApplyDelta(const GraphDelta& delta) {
     SPINNER_RETURN_IF_ERROR(store_.Update(new_converted, dirty));
   }
 
-  PartitionResult result;
-  const Status run_status =
-      RunLpa(new_converted, std::move(initial), current_k_, &result);
-  if (!run_status.ok()) {
+  Result<PartitionResult> run =
+      RunLpa(new_converted, std::move(initial), current_k_);
+  if (!run.ok()) {
     // The store was already re-sliced for the new graph; put it back so
     // the session's pre-call state stays self-consistent.
     auto rebuilt = BuildStore(converted_);
     if (rebuilt.ok()) store_ = std::move(rebuilt).value();
-    return run_status;
+    return run.status();
   }
+  PartitionResult result = std::move(run).value();
 
   num_vertices_ = new_num_vertices;
   edges_ = std::move(new_edges);
@@ -249,9 +172,8 @@ Status PartitioningSession::Rescale(int new_k) {
   } else {
     initial = assignment_;
   }
-  PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted_, std::move(initial), new_k, &result));
+  SPINNER_ASSIGN_OR_RETURN(PartitionResult result,
+                           RunLpa(converted_, std::move(initial), new_k));
 
   current_k_ = new_k;
   config_.num_partitions = new_k;
@@ -265,9 +187,8 @@ Status PartitioningSession::Refine() {
   SPINNER_ASSIGN_OR_RETURN(
       std::vector<PartitionId> initial,
       ExtendForNewVertices(converted_, assignment_, current_k_));
-  PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted_, std::move(initial), current_k_, &result));
+  SPINNER_ASSIGN_OR_RETURN(PartitionResult result,
+                           RunLpa(converted_, std::move(initial), current_k_));
   assignment_ = result.assignment;
   last_result_ = std::move(result);
   return Status::OK();
@@ -279,15 +200,13 @@ Status PartitioningSession::ResizeWorkers(int num_workers) {
     return Status::InvalidArgument(
         StrFormat("num_workers must be >= 1 (got %d)", num_workers));
   }
-  if (execution_.mode == ExecutionMode::kInProcess) {
+  if (config_.execution.mode == ExecutionMode::kInProcess) {
     return Status::FailedPrecondition(
         "ResizeWorkers applies to kMultiProcess/kTcp sessions; "
         "kInProcess has no worker fleet");
   }
-  execution_.num_workers = num_workers;
-  config_.execution.num_workers = num_workers;
-  config_.num_processes = num_workers;  // RunLpa reads this per call
-  if (execution_.mode == ExecutionMode::kTcp && registry_ != nullptr) {
+  config_.execution.num_workers = num_workers;  // RunLpa reads it per call
+  if (config_.execution.mode == ExecutionMode::kTcp && registry_ != nullptr) {
     registry_->DrainPooled(num_workers);
   }
   return Status::OK();

@@ -105,6 +105,10 @@ class SuperstepBackend {
 /// Runs the full superstep schedule over `store` through `backend`.
 /// `store` provides the topology (shard ranges, block count) and holds the
 /// authoritative labels/loads between phases; `observer` may be null.
+/// `initial_labels` holds one fixed label in [0, k) per vertex for
+/// incremental/elastic restarts; kNoPartition entries (or vertices past
+/// the end of a shorter vector) draw a uniform random label at Initialize
+/// (partitioning from scratch).
 Result<ShardedRunResult> DriveSpinnerSupersteps(
     const SpinnerConfig& config, ShardedGraphStore* store,
     std::vector<PartitionId> initial_labels, SuperstepBackend* backend,

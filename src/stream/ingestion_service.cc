@@ -324,6 +324,10 @@ void IngestionService::RunLoop() {
     if (!alive && window_events_ == 0 && queue_.size() == 0) break;
   }
 
+  // A failed window ends ingestion for good: close the queue so producers
+  // blocked on a full queue wake with FailedPrecondition instead of
+  // waiting for Stop().
+  if (!error.ok()) queue_.Close();
   std::lock_guard<std::mutex> lock(mutex_);
   if (!error.ok() && ingest_error_.ok()) ingest_error_ = error;
   // Whatever ended the loop, wake every waiter: nothing further will be

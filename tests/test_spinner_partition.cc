@@ -188,7 +188,10 @@ TEST(SpinnerPartitionTest, PartitionDirectedHandlesRawEdgeLists) {
   EXPECT_GT(result->metrics.phi, 0.2);  // far above hash's 1/8
 }
 
-TEST(SpinnerPartitionTest, InEngineConversionReachesSameQuality) {
+TEST(SpinnerPartitionTest, InEngineConversionIsBitIdenticalToOffline) {
+  // The Pregel-engine conversion produces the offline converted graph
+  // exactly and label propagation then runs the same path, so the
+  // assignment and the float φ/ρ/score history are identical.
   auto rmat = RMat(8, 5, 0.5, 0.2, 0.2, 23);
   ASSERT_TRUE(rmat.ok());
   SpinnerConfig config;
@@ -200,10 +203,60 @@ TEST(SpinnerPartitionTest, InEngineConversionReachesSameQuality) {
   auto a = offline.PartitionDirected(rmat->num_vertices, rmat->edges);
   auto b = in_engine.PartitionDirected(rmat->num_vertices, rmat->edges);
   ASSERT_TRUE(a.ok() && b.ok());
-  // Different random streams (superstep offset), same algorithm: the
-  // quality must match closely even though assignments differ.
-  EXPECT_NEAR(a->metrics.phi, b->metrics.phi, 0.1);
-  EXPECT_NEAR(a->metrics.rho, b->metrics.rho, 0.1);
+  EXPECT_EQ(a->assignment, b->assignment);
+  EXPECT_EQ(a->iterations, b->iterations);
+  ASSERT_EQ(a->history.size(), b->history.size());
+  for (size_t i = 0; i < a->history.size(); ++i) {
+    EXPECT_EQ(a->history[i].phi, b->history[i].phi) << i;
+    EXPECT_EQ(a->history[i].rho, b->history[i].rho) << i;
+    EXPECT_EQ(a->history[i].score, b->history[i].score) << i;
+  }
+  EXPECT_EQ(a->metrics.phi, b->metrics.phi);
+  EXPECT_EQ(a->metrics.rho, b->metrics.rho);
+}
+
+TEST(SpinnerPartitionTest, InitializationRespectsProvidedLabels) {
+  auto ring = Ring(8);
+  auto g = BuildSymmetric(ring.num_vertices, ring.edges);
+  ASSERT_TRUE(g.ok());
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.max_iterations = 1;  // stop right after the first ComputeScores
+  config.use_halting = false;
+  const std::vector<PartitionId> fixed = {3, 3, 2, 2, 1, 1, 0, 0};
+  auto result = SpinnerPartitioner(config).Repartition(*g, fixed);
+  ASSERT_TRUE(result.ok());
+
+  // After Initialize + one ComputeScores (no migrations yet), labels are
+  // exactly the provided ones and the loads reflect them.
+  EXPECT_EQ(result->assignment, fixed);
+  ASSERT_EQ(result->history.size(), 1u);
+  EXPECT_EQ(result->history[0].loads, (std::vector<int64_t>{4, 4, 4, 4}));
+}
+
+TEST(SpinnerPartitionTest, HistoryTracksHillClimb) {
+  auto pp = PlantedPartition(4, 32, 0.3, 0.01, 11);
+  ASSERT_TRUE(pp.ok());
+  auto g = BuildSymmetric(pp->num_vertices, pp->edges);
+  ASSERT_TRUE(g.ok());
+
+  SpinnerConfig config;
+  config.num_partitions = 4;
+  config.max_iterations = 60;
+  config.use_halting = false;
+  config.num_workers = 4;
+  auto result = SpinnerPartitioner(config).Partition(*g);
+  ASSERT_TRUE(result.ok());
+
+  ASSERT_EQ(static_cast<int>(result->history.size()), result->iterations);
+  EXPECT_EQ(result->iterations, 60);
+  // Hill climbing: late iterations must beat the random start decisively.
+  const auto& h = result->history;
+  EXPECT_GT(h.back().phi, h.front().phi);
+  EXPECT_GT(h.back().score, h.front().score);
+  // Final history point agrees with the final metrics within one
+  // migration step (history φ is computed from the last ComputeScores).
+  EXPECT_NEAR(h.back().phi, result->metrics.phi, 0.05);
 }
 
 TEST(SpinnerPartitionTest, PerWorkerAsyncAblationStillValid) {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,6 +44,14 @@ GeneratedGraph SmallWorld(uint64_t seed = 9) {
   auto ws = WattsStrogatz(400, 3, 0.3, seed);
   SPINNER_CHECK(ws.ok());
   return std::move(ws).value();
+}
+
+/// Session options pinning the shard and thread counts.
+SessionOptions Shape(int num_shards, int num_threads) {
+  SessionOptions options;
+  options.execution.num_shards = num_shards;
+  options.execution.num_threads = num_threads;
+  return options;
 }
 
 /// RAII temp file path for checkpoint tests.
@@ -448,6 +457,94 @@ TEST(IngestionServiceTest, BadEventSurfacesACleanErrorFromStop) {
   EXPECT_FALSE(service.running());
 }
 
+TEST(IngestionServiceTest, FailedWindowReleasesABlockedProducer) {
+  const GeneratedGraph g = SmallWorld();
+  PartitioningSession session(SmallConfig());
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+
+  // Park the first window's apply inside the partitioner so the
+  // capacity-1 queue can be filled behind it.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool in_refine = false;
+  bool release = false;
+  ProgressObserver observer;
+  observer.on_iteration = [&](const IterationPoint&) {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    if (!in_refine) {
+      in_refine = true;
+      gate_cv.notify_all();
+    }
+    gate_cv.wait(lock, [&] { return release; });
+    return true;
+  };
+
+  const GraphDelta fresh =
+      RandomEdgeAdditions(g.num_vertices, g.edges, 3, /*seed=*/19);
+  // Two producers block on the full queue. Dequeuing the failing event
+  // admits one of them; the other must be released by the failure.
+  std::promise<Status> submits[2];
+  std::future<Status> results[2] = {submits[0].get_future(),
+                                    submits[1].get_future()};
+  // Declared before the service so they are joined after the service's
+  // destructor has closed the queue, whatever the outcome below.
+  std::thread producers[2];
+  bool released_in_time = true;
+  Status stop_status;
+  {
+    IngestionOptions options;
+    options.queue_capacity = 1;
+    options.policy = std::make_unique<EventCountPolicy>(1);
+    IngestionService service(&session, std::move(options));
+    service.SetProgressObserver(observer);
+    ASSERT_TRUE(service.Start().ok());
+    ASSERT_TRUE(service
+                    .Submit(EdgeEvent::AddEdge(fresh.added_edges[0].src,
+                                               fresh.added_edges[0].dst))
+                    .ok());
+    {
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      gate_cv.wait(lock, [&] { return in_refine; });
+    }
+    // The next window fails: its edge points past the vertex range.
+    ASSERT_TRUE(
+        service.Submit(EdgeEvent::AddEdge(0, g.num_vertices + 5)).ok());
+    for (int p = 0; p < 2; ++p) {
+      const Edge edge = fresh.added_edges[1 + p];
+      producers[p] = std::thread([&service, &submits, p, edge] {
+        submits[p].set_value(
+            service.Submit(EdgeEvent::AddEdge(edge.src, edge.dst)));
+      });
+    }
+    std::this_thread::sleep_for(milliseconds(50));
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex);
+      release = true;
+    }
+    gate_cv.notify_all();
+    for (std::future<Status>& result : results) {
+      released_in_time &= result.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    }
+    stop_status = service.Stop();
+  }
+  for (std::thread& producer : producers) producer.join();
+
+  EXPECT_TRUE(released_in_time)
+      << "a producer blocked on a full queue stayed blocked after the "
+         "ingestion loop died";
+  int refused = 0;
+  for (std::future<Status>& result : results) {
+    const Status submitted = result.get();
+    if (!submitted.ok()) {
+      EXPECT_EQ(submitted.code(), StatusCode::kFailedPrecondition);
+      ++refused;
+    }
+  }
+  EXPECT_GE(refused, 1);
+  EXPECT_EQ(stop_status.code(), StatusCode::kInvalidArgument);
+}
+
 // --- on_apply callback ----------------------------------------------------
 
 TEST(IngestionServiceTest, OnApplyCallbackObservesEveryWindowAndCanStop) {
@@ -551,7 +648,7 @@ TEST(IngestionDeterminismTest, DrainedRunMatchesBlockingApplyDeltaExactly) {
   // Reference: the blocking replay at the canonical {1 shard, 1 thread}.
   HistoryTrace reference_trace;
   PartitioningSession reference(
-      SmallConfig(), SessionOptions{.num_shards = 1, .num_threads = 1});
+      SmallConfig(), Shape(1, 1));
   ASSERT_TRUE(reference.Open(g.num_vertices, g.edges, g.directed).ok());
   // Observer installed after Open: both paths trace only the streamed
   // applies (the service wraps its observer in at Start, past Open too).
@@ -567,7 +664,7 @@ TEST(IngestionDeterminismTest, DrainedRunMatchesBlockingApplyDeltaExactly) {
     HistoryTrace trace;
     PartitioningSession session(
         SmallConfig(),
-        SessionOptions{.num_shards = shards, .num_threads = threads});
+        Shape(shards, threads));
     ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
 
     IngestionOptions options;
