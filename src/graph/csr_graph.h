@@ -31,6 +31,15 @@ class CsrGraph {
                                     const EdgeList& edges,
                                     std::span<const EdgeWeight> weights = {});
 
+  /// Adopts CSR arrays whose rows are already sorted by (target, weight):
+  /// `offsets` has num_vertices + 1 entries from 0 to targets.size(), and
+  /// `weights` is parallel to `targets`. Only the weighted degrees are
+  /// computed; the caller guarantees the shape (no validation).
+  static CsrGraph FromSortedRows(int64_t num_vertices,
+                                 std::vector<int64_t> offsets,
+                                 std::vector<VertexId> targets,
+                                 std::vector<EdgeWeight> weights);
+
   /// Number of vertices n.
   int64_t NumVertices() const { return num_vertices_; }
 

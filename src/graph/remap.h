@@ -28,7 +28,9 @@ struct VertexIdMapping {
 /// Rewrites `edges` so vertex ids form the dense range [0, n), preserving
 /// edge order. Ids are assigned by ascending original id. Vertices that
 /// appear in no edge do not get ids (they carry no information for
-/// partitioning).
+/// partitioning). Ids in [0, 2·|edges|) are numbered through a presence
+/// table; sparser ids through a sort of all endpoints. Both give the same
+/// mapping.
 VertexIdMapping CompactVertexIds(EdgeList* edges);
 
 /// Translates a per-dense-vertex vector (e.g. a partition assignment) back

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "graph/edge_list.h"
 
 namespace spinner {
@@ -149,6 +154,50 @@ TEST(CsrGraphTest, ArcBeginConsistentWithDegrees) {
   EXPECT_EQ(g->ArcBegin(0), 0);
   EXPECT_EQ(g->ArcBegin(1), 2);
   EXPECT_EQ(g->ArcBegin(2), 3);
+}
+
+TEST(CsrGraphTest, RowsSortedByTargetThenWeight) {
+  // Parallel arcs with different weights, listed in random order: every
+  // row must equal the (target, weight)-sorted list of its arcs.
+  std::mt19937_64 rng(11);
+  const int64_t n = 40;
+  EdgeList edges;
+  std::vector<EdgeWeight> weights;
+  std::vector<std::vector<std::pair<VertexId, EdgeWeight>>> rows(n);
+  for (int i = 0; i < 600; ++i) {
+    const auto u = static_cast<VertexId>(rng() % n);
+    const auto v = static_cast<VertexId>(rng() % 8);
+    const auto w = static_cast<EdgeWeight>(1 + rng() % 3);
+    edges.push_back({u, v});
+    weights.push_back(w);
+    rows[u].push_back({v, w});
+  }
+  auto g = CsrGraph::FromEdges(n, edges, weights);
+  ASSERT_TRUE(g.ok());
+  int64_t total = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    std::sort(rows[u].begin(), rows[u].end());
+    ASSERT_EQ(g->OutDegree(u), static_cast<int64_t>(rows[u].size()));
+    int64_t wd = 0;
+    for (size_t i = 0; i < rows[u].size(); ++i) {
+      EXPECT_EQ(g->Neighbors(u)[i], rows[u][i].first);
+      EXPECT_EQ(g->Weights(u)[i], rows[u][i].second);
+      wd += rows[u][i].second;
+    }
+    EXPECT_EQ(g->WeightedDegree(u), wd);
+    total += wd;
+  }
+  EXPECT_EQ(g->TotalArcWeight(), total);
+
+  // Two-arc rows out of order, by target and by weight alone.
+  const std::vector<EdgeWeight> pair_weights = {1, 1, 2, 1};
+  auto pairs = CsrGraph::FromEdges(2, {{0, 1}, {0, 0}, {1, 0}, {1, 0}},
+                                   pair_weights);
+  ASSERT_TRUE(pairs.ok());
+  EXPECT_EQ(pairs->Neighbors(0)[0], 0);
+  EXPECT_EQ(pairs->Neighbors(0)[1], 1);
+  EXPECT_EQ(pairs->Weights(1)[0], 1u);
+  EXPECT_EQ(pairs->Weights(1)[1], 2u);
 }
 
 }  // namespace

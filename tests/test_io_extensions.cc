@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <map>
+#include <random>
 #include <vector>
 
 #include "graph/binary_io.h"
@@ -40,6 +43,72 @@ TEST(CompactVertexIdsTest, EmptyEdgeList) {
   EdgeList edges;
   auto mapping = CompactVertexIds(&edges);
   EXPECT_EQ(mapping.num_vertices(), 0);
+}
+
+// Ascending-id numbering by an ordered map: the contract both
+// CompactVertexIds paths must meet.
+std::pair<VertexIdMapping, EdgeList> NaiveCompaction(EdgeList edges) {
+  std::map<VertexId, VertexId> dense;
+  for (const Edge& e : edges) {
+    dense[e.src] = 0;
+    dense[e.dst] = 0;
+  }
+  VertexIdMapping mapping;
+  for (auto& [id, d] : dense) {
+    d = mapping.num_vertices();
+    mapping.original_id.push_back(id);
+  }
+  for (Edge& e : edges) e = {dense[e.src], dense[e.dst]};
+  return {mapping, edges};
+}
+
+TEST(CompactVertexIdsTest, TableAndSortPathsGiveTheSameMapping) {
+  // The same id pattern, dense (presence table) and pushed through
+  // monotone maps that force the sort path: ids far beyond the edge count,
+  // ids just below INT64_MAX, and negative ids.
+  constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+  std::mt19937_64 rng(99);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto span = static_cast<VertexId>(1 + rng() % 200);
+    EdgeList dense_edges;
+    const int m = 1 + static_cast<int>(rng() % 150);
+    for (int i = 0; i < m; ++i) {
+      dense_edges.push_back({static_cast<VertexId>(rng() % span),
+                             static_cast<VertexId>(rng() % span)});
+    }
+    const auto [want_mapping, want_edges] = NaiveCompaction(dense_edges);
+    EdgeList table_edges = dense_edges;
+    const VertexIdMapping table = CompactVertexIds(&table_edges);
+    EXPECT_EQ(table.original_id, want_mapping.original_id);
+    EXPECT_EQ(table_edges, want_edges);
+
+    const std::vector<VertexId (*)(VertexId)> spread = {
+        [](VertexId id) { return id * 1000003 + 5; },
+        [](VertexId id) { return kMax - 199 + id; },
+        [](VertexId id) { return id - 100; },
+    };
+    for (auto f : spread) {
+      EdgeList sparse_edges = dense_edges;
+      for (Edge& e : sparse_edges) e = {f(e.src), f(e.dst)};
+      const VertexIdMapping sorted = CompactVertexIds(&sparse_edges);
+      ASSERT_EQ(sorted.num_vertices(), table.num_vertices());
+      for (VertexId d = 0; d < table.num_vertices(); ++d) {
+        EXPECT_EQ(sorted.original_id[d], f(table.original_id[d]));
+      }
+      EXPECT_EQ(sparse_edges, table_edges);
+    }
+  }
+}
+
+TEST(CompactVertexIdsTest, IdsAtTheTableCutoffCompactAlike) {
+  // Two edges have four endpoints: ids up to 3 use the table, id 4 the sort.
+  for (VertexId top : {3, 4, 5}) {
+    EdgeList edges = {{top, 1}, {1, 0}};
+    const auto [want_mapping, want_edges] = NaiveCompaction(edges);
+    const VertexIdMapping mapping = CompactVertexIds(&edges);
+    EXPECT_EQ(mapping.original_id, want_mapping.original_id) << top;
+    EXPECT_EQ(edges, want_edges) << top;
+  }
 }
 
 TEST(MapToOriginalIdsTest, RoundTripsAssignments) {
